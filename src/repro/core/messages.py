@@ -51,8 +51,7 @@ def reset_message_ids(start: int = 1) -> None:
     makes the ids a deterministic function of the run itself, so two
     executions of the same scenario emit identical ids regardless of what
     else ran in the process first — which is what lets the determinism
-    fingerprint compare runs across processes, schedulers, and worker
-    counts.
+    fingerprint compare runs across processes and worker counts.
     """
     global _message_ids
     _message_ids = itertools.count(start)

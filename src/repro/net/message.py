@@ -30,7 +30,7 @@ def reset_frame_ids(start: int = 1) -> None:
     Frame ids need only be unique within one run (acks and retransmit
     bookkeeping never cross simulations); resetting per scenario makes
     them deterministic per run, so fingerprinted runs compare equal
-    across processes and schedulers.
+    across processes and worker counts.
     """
     global _frame_ids
     _frame_ids = itertools.count(start)

@@ -58,18 +58,23 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 #: Collapsed-stack root frame (groups all handlers under one flame base).
 FLAME_ROOT = "repro-sim"
 
-#: Subsystem label of the schedulers' sentinel dispatch handlers (see
-#: :func:`repro.sim.event.scheduler_profile_key`).  The dispatch loop
-#: books per-event peek/pop time under these, so scheduler overhead shows
-#: up as its own subsystem instead of hiding in the profiled wall's idle
+#: Subsystem label of :func:`scheduler_dispatch`.  The dispatch loop books
+#: per-event peek/pop time under that sentinel, so queue overhead shows up
+#: as its own subsystem instead of hiding in the profiled wall's idle
 #: remainder.  Entries under this subsystem carry *dispatch* counts, not
 #: fired events, so :attr:`KernelProfiler.events` excludes them — every
 #: simulator event would otherwise be counted twice.
 SCHEDULER_SUBSYSTEM = "sim.scheduler"
 
 
+def scheduler_dispatch() -> None:  # pragma: no cover - never called, only keyed
+    """Sentinel handler under which event-queue dispatch time is booked."""
+
+
 def _subsystem_of(fn: Any) -> str:
     """Subsystem label for a handler function (module-derived)."""
+    if fn is scheduler_dispatch:
+        return SCHEDULER_SUBSYSTEM
     module = getattr(fn, "__module__", None) or ""
     if module == "repro" or module.startswith("repro."):
         parts = module.split(".")[1:]

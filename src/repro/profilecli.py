@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_JOBS or 1; --memory defaults to 1)",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-kernel scheduler (sets REPRO_SCHEDULER); dispatch "
-        "time shows up as the sim.scheduler subsystem either way",
-    )
-    parser.add_argument(
         "--top",
         type=int,
         default=15,
@@ -173,8 +166,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_SEEDS"] = str(args.seeds)
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     elif args.memory:

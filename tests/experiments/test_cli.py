@@ -29,27 +29,6 @@ def test_seeds_and_scale_set_environment(monkeypatch, capsys):
     assert os.environ["REPRO_SCALE"] == "0.5"
 
 
-def test_scheduler_flag_sets_environment(monkeypatch, capsys):
-    import os
-
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert main(["list", "--scheduler", "calendar"]) == 0
-    assert os.environ["REPRO_SCHEDULER"] == "calendar"
-
-
-def test_scheduler_flag_rejects_unknown():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["list", "--scheduler", "splay"])
-
-
-def test_scheduler_flag_absent_leaves_env_alone(monkeypatch, capsys):
-    import os
-
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert main(["list"]) == 0
-    assert os.environ["REPRO_SCHEDULER"] == "calendar"
-
-
 def test_single_figure_runs_table(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SEEDS", "1")
     # fig4 at tiny scale via its module defaults is too slow for a unit

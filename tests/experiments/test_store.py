@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.metrics import TrialFailure, TrialMetrics
 from repro.experiments.runner import run_trials
 from repro.experiments.store import (
+    STORE_SCHEMA,
     CampaignStore,
     canonical_params,
     resolve_store,
@@ -217,6 +218,26 @@ def test_foreign_schema_reads_as_miss(tmp_path):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     assert store.get(digest) is None
+
+
+def test_schema_1_entry_is_a_counted_miss_and_gc_removes_it(tmp_path):
+    """Schema-1 entries sit at addresses this version never derives; they
+    must read as corrupt misses so ``gc`` reclaims them, not orphan them."""
+    assert STORE_SCHEMA == 2
+    store = CampaignStore(str(tmp_path))
+    digest = task_digest(_trial, (1,))
+    store.put_value(digest, "t", "seed 1", 1, {"score": 10})
+    path = store._entry_path(digest)
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["store"] = 1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    assert store.get(digest) is None
+    assert store.corrupt_seen == 1
+    assert store.status()["corrupt"] == 1
+    assert store.gc() == {"tmp": 0, "corrupt": 1, "failed": 0}
+    assert not os.path.exists(path)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,15 @@
 """Lazy-cancellation accounting: cancelled-but-unpopped events must not
 inflate ``len(queue)`` — and therefore ``Simulator.peak_queue_depth`` —
-no matter which cancellation entry point is used or which scheduler
-backs the kernel."""
+no matter which cancellation entry point is used."""
 
 import pytest
 
-from repro.sim.scheduler import SCHEDULER_NAMES, SCHEDULERS
-from repro.sim.simulator import Simulator
+from repro.sim.event import EventQueue
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
-def queue(request):
-    return SCHEDULERS[request.param]()
-
-
-@pytest.fixture(params=sorted(SCHEDULER_NAMES))
-def sim(request):
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def queue():
+    return EventQueue()
 
 
 def test_len_counts_only_active_events(queue):

@@ -1,27 +1,14 @@
-"""Unit tests for the scheduler contract, run against every scheduler.
-
-Every test here is parametrized over the full scheduler registry (heap
-and calendar), so a new scheduler gets the whole contract suite for
-free by registering itself in ``repro.sim.scheduler.SCHEDULERS``.
-"""
+"""Unit tests for the event queue: ordering, lazy cancellation, clearing."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event import DEFAULT_PRIORITY, EventQueue, HeapScheduler
-from repro.sim.scheduler import SCHEDULERS, CalendarScheduler
+from repro.sim.event import DEFAULT_PRIORITY, EventQueue
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
-def queue(request):
-    return SCHEDULERS[request.param]()
-
-
-def test_registry_names_match_instances():
-    assert HeapScheduler is EventQueue
-    assert SCHEDULERS["heap"]().name == "heap"
-    assert SCHEDULERS["calendar"]().name == "calendar"
-    assert isinstance(SCHEDULERS["calendar"](), CalendarScheduler)
+@pytest.fixture
+def queue():
+    return EventQueue()
 
 
 def test_empty_queue_is_falsy(queue):
@@ -152,3 +139,19 @@ def test_interleaved_push_pop_stays_sorted(queue):
     while queue:
         tail.append(queue.pop().time)
     assert tail == sorted(tail) == [0.5, 2.5, 3.0, 7.0, 9.0]
+
+
+def test_cancel_between_peek_and_pop(queue):
+    first = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.peek_time() == 1.0
+    first.cancel()  # cancels the peeked head between peek and pop
+    assert queue.pop().time == 2.0
+    assert len(queue) == 0
+
+
+def test_zero_time_and_negative_priority_events(queue):
+    queue.push(0.0, lambda: None, priority=3)
+    queue.push(0.0, lambda: None, priority=-3)
+    assert queue.pop().priority == -3
+    assert queue.pop().priority == 3
