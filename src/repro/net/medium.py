@@ -5,11 +5,14 @@ reproduces the effects the evaluation depends on:
 
 * **airtime** — a transmission occupies the channel for
   ``preamble + bits / broadcast_rate`` seconds;
-* **carrier sense** — radios ask :meth:`channel_busy` before transmitting
+* **carrier sense** — radios ask :meth:`busy_until` before transmitting
   and defer with random backoff while any sensed node is on the air.
   Physical carrier sense reaches ``carrier_sense_factor`` × the
   communication range (energy detection works below decoding SNR), which
-  suppresses most hidden terminals, as on real hardware;
+  suppresses most hidden terminals, as on real hardware.  A per-node
+  sensed-until index, filled once per transmission from the spatial
+  index and rebuilt when the topology changes, makes each query one
+  dictionary lookup;
 * **hidden-terminal collisions** — a receiver loses a frame when another
   in-range transmission overlaps it in time;
 * **half-duplex receivers** — a node transmitting during a frame's airtime
@@ -49,7 +52,7 @@ DEFAULT_BASE_LOSS = 0.02
 DEFAULT_CARRIER_SENSE_FACTOR = 2.0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Reception:
     """One pending frame delivery at one receiver."""
 
@@ -107,6 +110,11 @@ class BroadcastMedium:
         self._active_min_end: float = math.inf
         #: Receptions in progress, per receiving node.
         self._receiving: Dict[NodeId, List[_Reception]] = {}
+        #: Per node, the latest ``end`` among the transmissions it senses
+        #: (its own included).  Valid for one topology version; an entry
+        #: at or below ``now`` means the channel there is free.
+        self._sensed_until: Dict[NodeId, float] = {}
+        self._sensed_version = topology.version
 
     # ------------------------------------------------------------------
     # Attachment
@@ -135,29 +143,45 @@ class BroadcastMedium:
         self._active = active
         self._active_min_end = min((tx.end for tx in active), default=math.inf)
 
-    def _senses(self, node_id: NodeId, sender: NodeId) -> bool:
-        """Whether ``node_id``'s carrier sense detects ``sender``."""
-        if node_id == sender:
-            return True
+    def _mark_sensed(self, sender: NodeId, end: float) -> None:
+        """Extend the sensed-until of ``sender`` and every node sensing it.
+
+        ``nodes_within`` uses the same ``hypot <= radius`` predicate as
+        ``Topology.within``, and it is empty for an absent sender, which
+        then senses only itself.
+        """
+        sensed = self._sensed_until
+        if sensed.get(sender, -math.inf) < end:
+            sensed[sender] = end
         topology = self.topology
         sense_range = topology.radio_range * self.carrier_sense_factor
-        # One distance check, not a range query: same disk-model predicate
-        # as ``nodes_within`` but O(1) and no cache churn under mobility.
-        return topology.within(node_id, sender, sense_range)
+        for node in topology.nodes_within(sender, sense_range):
+            if sensed.get(node, -math.inf) < end:
+                sensed[node] = end
+
+    def _rebuild_sensed(self) -> None:
+        """Recompute the index from the transmissions still on the air."""
+        self._prune_active()
+        self._sensed_until = {}
+        self._sensed_version = self.topology.version
+        for tx in self._active:
+            self._mark_sensed(tx.sender, tx.end)
 
     def channel_busy(self, node_id: NodeId) -> bool:
         """Carrier sense: is any sensed node (or self) transmitting now?"""
-        self._prune_active()
-        return any(self._senses(node_id, tx.sender) for tx in self._active)
+        return self.busy_until(node_id) > self.sim.now
 
     def busy_until(self, node_id: NodeId) -> float:
-        """Earliest time the channel around ``node_id`` could become free."""
-        self._prune_active()
-        latest = self.sim.now
-        for tx in self._active:
-            if self._senses(node_id, tx.sender):
-                latest = max(latest, tx.end)
-        return latest
+        """Earliest time the channel around ``node_id`` could become free.
+
+        Returns ``now`` when no sensed transmission (own included) is on
+        the air.
+        """
+        if self.topology.version != self._sensed_version:
+            self._rebuild_sensed()
+        now = self.sim.now
+        until = self._sensed_until.get(node_id, now)
+        return until if until > now else now
 
     def node_transmitting(self, node_id: NodeId) -> bool:
         """Whether the node itself is currently on the air."""
@@ -248,6 +272,10 @@ class BroadcastMedium:
         self._active.append(tx)
         if end < self._active_min_end:
             self._active_min_end = end
+        # A stale index is rebuilt, this transmission included, by the
+        # next ``busy_until``.
+        if self.topology.version == self._sensed_version:
+            self._mark_sensed(frame.sender, end)
         return duration
 
     def _deliver_all(self, tx: _Transmission) -> None:

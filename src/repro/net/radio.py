@@ -45,6 +45,8 @@ class RadioConfig:
             raise ConfigurationError("os_buffer_bytes must be positive")
         if not 0 <= self.backoff_min_s <= self.backoff_max_s:
             raise ConfigurationError("backoff window must satisfy 0 <= min <= max")
+        if not self.inter_frame_gap_s >= 0:
+            raise ConfigurationError("inter_frame_gap_s must be non-negative")
 
 
 class Radio:
@@ -133,9 +135,11 @@ class Radio:
         Returns:
             True if the frame was still in the OS buffer and was removed.
         """
-        for queued in self._queue:
+        # By index: ``deque.remove`` would compare with the dataclass
+        # ``__eq__`` and drop the first field-equal frame instead.
+        for index, queued in enumerate(self._queue):
             if queued is frame:
-                self._queue.remove(queued)
+                del self._queue[index]
                 self._queued_bytes -= frame.size
                 return True
         return False
@@ -170,12 +174,14 @@ class Radio:
             self._queued_bytes = 0
             self._sending = False
             return
-        if self.medium.channel_busy(self.node_id):
-            wait = self.medium.busy_until(self.node_id) - self.sim.now
+        # Carrier sense: one index lookup; a positive wait means a sensed
+        # transmission is still on the air.
+        wait = self.medium.busy_until(self.node_id) - self.sim.now
+        if wait > 0:
             backoff = self.rng.uniform(
                 self.config.backoff_min_s, self.config.backoff_max_s
             )
-            self.sim.schedule(max(0.0, wait) + backoff, self._attempt)
+            self.sim.schedule(wait + backoff, self._attempt)
             return
         frame = self._queue.popleft()
         self._queued_bytes -= frame.size

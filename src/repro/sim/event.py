@@ -3,7 +3,10 @@
 The queue orders events by ``(time, priority, sequence)``.  The
 monotonically increasing sequence number guarantees a stable FIFO order for
 events scheduled at the same instant with the same priority, which keeps
-simulations fully deterministic for a given seed.
+simulations fully deterministic for a given seed.  The heap stores
+``(time, priority, sequence, event)`` tuples, so :mod:`heapq` compares
+keys in C; the sequence is unique, so no comparison ever reaches the
+:class:`Event` itself.
 
 Cancellation is *lazy*: a cancelled event stays in the heap until popped,
 but the queue's length accounting tracks only live events.  Every event
@@ -31,11 +34,9 @@ DEFAULT_PRIORITY = 0
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, priority, sequence)`` so they can live
-    directly in a heap.  The callback and its arguments are excluded from
-    ordering.  A plain slotted class (not a dataclass): ``__lt__`` runs on
-    every heap sift of every schedule/pop, so it must not build tuples of
-    all ordering fields per comparison.
+    Carries its ``(time, priority, sequence)`` key for callers; the queue
+    orders by a tuple copy of that key, so events define no ordering of
+    their own.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "args", "cancelled", "_queue")
@@ -58,13 +59,6 @@ class Event:
         #: The queue currently holding this event (None once
         #: popped/cleared).
         self._queue: Optional["EventQueue"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -97,7 +91,8 @@ class Event:
 
 
 class EventQueue:
-    """The kernel's pending-event queue: a binary heap of :class:`Event`.
+    """The kernel's pending-event queue: a binary heap of
+    ``(time, priority, sequence, event)`` entries.
 
     O(log n) push/pop via :mod:`heapq`.  Cancelled events are dropped
     lazily when popped or peeked past; :meth:`__len__` reports only active
@@ -109,7 +104,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._active = 0
 
@@ -127,15 +122,10 @@ class EventQueue:
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Insert a new event and return it (so callers may cancel it)."""
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-        )
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback, args)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         self._active += 1
         return event
 
@@ -146,7 +136,7 @@ class EventQueue:
             SimulationError: if the queue holds no active events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 event._queue = None
                 continue
@@ -161,11 +151,12 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next active event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._queue = None
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3]._queue = None
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def clear(self) -> None:
         """Discard all pending events.
@@ -174,8 +165,8 @@ class EventQueue:
         handle afterwards cannot deflate the live count of a refilled
         queue.
         """
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._active = 0
 

@@ -65,10 +65,13 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Raises:
-            SimulationError: if ``delay`` is negative.
+            SimulationError: if ``delay`` is negative or NaN.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``not >=`` also rejects NaN, whose key would corrupt heap order.
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule into the past or at NaN (delay={delay})"
+            )
         return self._queue.push(self.now + delay, callback, args, priority)
 
     def at(
@@ -78,10 +81,14 @@ class Simulator:
         *args: Any,
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        Raises:
+            SimulationError: if ``time`` is before now or NaN.
+        """
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self.now}"
+                f"cannot schedule at t={time}: before now={self.now} or NaN"
             )
         return self._queue.push(time, callback, args, priority)
 

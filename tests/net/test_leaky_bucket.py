@@ -112,6 +112,20 @@ def test_remove_withdraws_queued_frame(sim):
     assert all(f.payload != "victim" for _, f in released)
 
 
+def test_remove_is_by_identity_among_equal_frames(sim):
+    bucket, _ = make_bucket(sim, capacity=1000, rate=800.0)
+    bucket.offer(frame(1000, "drains the tokens"))
+    a, b, c = (frame(1000, "same") for _ in range(3))
+    c.frame_id = b.frame_id = a.frame_id
+    for queued in (a, b, c):
+        bucket.offer(queued)
+    assert a == b == c
+    assert bucket.remove(c) is True
+    remaining = bucket.queued_frames()
+    assert len(remaining) == 2
+    assert remaining[0] is a and remaining[1] is b
+
+
 def test_flush_clears_queue(sim):
     bucket, _ = make_bucket(sim, capacity=1000, rate=80.0)
     for _ in range(5):

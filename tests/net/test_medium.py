@@ -102,6 +102,50 @@ def test_busy_until_reports_end_time():
     assert medium.busy_until(2) == pytest.approx(duration)
 
 
+def test_busy_until_is_now_when_free():
+    sim, _, medium = make_medium({1: (0, 0), 2: (10, 0), 3: (200, 0)})
+    assert medium.busy_until(2) == sim.now
+    medium.transmit(frame(1, size=50_000))
+    assert medium.busy_until(3) == sim.now  # beyond carrier-sense range
+
+
+def test_transmission_ending_now_reads_free():
+    sim, _, medium = make_medium({1: (0, 0), 2: (10, 0)})
+    end = medium.transmit(frame(1, size=50_000))
+    seen = []
+    sim.at(end, lambda: seen.append((medium.busy_until(2), medium.channel_busy(2))))
+    sim.run()
+    assert seen == [(end, False)]
+
+
+def test_node_moving_into_sense_range_mid_airtime_senses_it():
+    sim, topo, medium = make_medium({1: (0, 0), 2: (200, 0)})
+    end = medium.transmit(frame(1, size=100_000))
+    assert not medium.channel_busy(2)
+    topo.move(2, (60, 0))
+    assert medium.channel_busy(2)
+    assert medium.busy_until(2) == end
+    topo.move(2, (81, 0))
+    assert not medium.channel_busy(2)
+
+
+def test_sender_leaving_mid_airtime_is_sensed_only_by_itself():
+    sim, topo, medium = make_medium({1: (0, 0), 2: (10, 0)})
+    end = medium.transmit(frame(1, size=100_000))
+    assert medium.busy_until(2) == end
+    topo.remove_node(1)
+    assert not medium.channel_busy(2)
+    assert medium.busy_until(1) == end
+
+
+def test_node_joining_mid_airtime_senses_transmission():
+    sim, topo, medium = make_medium({1: (0, 0)})
+    end = medium.transmit(frame(1, size=100_000))
+    assert not medium.channel_busy(3)  # absent nodes sense nothing
+    topo.add_node(3, (20, 0))
+    assert medium.busy_until(3) == end
+
+
 def test_hidden_terminal_collision():
     """Two senders out of mutual range collide at a middle receiver."""
     sim, _, medium = make_medium(

@@ -123,6 +123,23 @@ def test_remove_withdraws_queued_frame():
     assert "victim" not in received
 
 
+def test_remove_is_by_identity_among_equal_frames():
+    sim, medium, tx, rx = make_pair(os_buffer=100_000)
+    # rx on the air: tx defers, so every frame below stays queued.
+    rx.send(Frame(sender=2, payload="busy", payload_size=50_000))
+    a, b, c = (
+        Frame(sender=1, payload="p", payload_size=1000, frame_id=7) for _ in range(3)
+    )
+    for queued in (a, b, c):
+        tx.send(queued)
+    assert a == b == c
+    assert tx.remove(c) is True
+    remaining = tx.queued_frames()
+    assert len(remaining) == 2
+    assert remaining[0] is a and remaining[1] is b
+    assert tx.queued_bytes == a.size + b.size
+
+
 def test_shutdown_clears_queue_and_detaches():
     sim, _, tx, rx = make_pair()
     received = []
@@ -147,3 +164,5 @@ def test_config_validation():
         RadioConfig(os_buffer_bytes=0)
     with pytest.raises(ConfigurationError):
         RadioConfig(backoff_min_s=0.5, backoff_max_s=0.1)
+    with pytest.raises(ConfigurationError):
+        RadioConfig(inter_frame_gap_s=-1.0)

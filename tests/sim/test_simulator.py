@@ -51,6 +51,18 @@ def test_at_in_past_rejected(sim):
         sim.at(0.5, lambda: None)
 
 
+def test_schedule_nan_delay_rejected(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_at_nan_time_rejected(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.at(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
 def test_run_advances_clock_to_event_times(sim):
     times = []
     sim.schedule(1.5, lambda: times.append(sim.now))
