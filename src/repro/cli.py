@@ -58,6 +58,7 @@ from repro.experiments.figures import REGISTRY
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.obs.durable import repro_version
+    from repro.obs.recorder import DEFAULT_INTERVAL_S, DEFAULT_KEYFRAME_EVERY
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -154,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timeline-interval",
         type=float,
-        default=None,
+        default=DEFAULT_INTERVAL_S,
         metavar="SECONDS",
         help="sim seconds between timeline samples (default: 1.0)",
     )
     parser.add_argument(
         "--keyframe-every",
         type=int,
-        default=None,
+        default=DEFAULT_KEYFRAME_EVERY,
         metavar="K",
         help="write a full keyframe every K timeline samples (default: 10)",
     )
@@ -220,14 +221,11 @@ def _run_figures(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
     from repro.experiments.runner import configured_jobs
+    from repro.obs.durable import file_artifacts
     from repro.obs.fingerprint import DEFAULT_CHECKPOINT_EVERY, fingerprinting
     from repro.obs.metrics import MetricsRegistry, collect_registries
     from repro.obs.profile import RunProfiler
-    from repro.obs.recorder import (
-        DEFAULT_INTERVAL_S,
-        DEFAULT_KEYFRAME_EVERY,
-        recording,
-    )
+    from repro.obs.recorder import recording
     from repro.obs.trace import JsonlSink, global_sink
 
     if args.figure != "all" and args.figure not in REGISTRY:
@@ -240,6 +238,17 @@ def _run_figures(args: argparse.Namespace) -> int:
     profiler = RunProfiler() if args.metrics else None
     registries: List[MetricsRegistry] = []
     with ExitStack() as stack:
+        # The fingerprint goes first: every artifact's provenance header
+        # records the fingerprint config, and the trace file writes its
+        # header the moment it opens.
+        if args.fingerprint:
+            stack.enter_context(
+                fingerprinting(
+                    path=args.fingerprint,
+                    checkpoint_every=args.fingerprint_every
+                    or DEFAULT_CHECKPOINT_EVERY,
+                )
+            )
         if args.trace:
             try:
                 sink = JsonlSink(args.trace)
@@ -248,32 +257,11 @@ def _run_figures(args: argparse.Namespace) -> int:
                 return 2
             stack.enter_context(global_sink(sink))
         if args.timeline:
-            timeline_path = (
-                args.timeline if isinstance(args.timeline, str) else None
-            )
-            interval = (
-                args.timeline_interval
-                if args.timeline_interval is not None
-                else DEFAULT_INTERVAL_S
-            )
-            keyframe = (
-                args.keyframe_every
-                if args.keyframe_every is not None
-                else DEFAULT_KEYFRAME_EVERY
-            )
             stack.enter_context(
                 recording(
-                    path=timeline_path,
-                    interval_s=interval,
-                    keyframe_every=keyframe,
-                )
-            )
-        if args.fingerprint:
-            stack.enter_context(
-                fingerprinting(
-                    path=args.fingerprint,
-                    checkpoint_every=args.fingerprint_every
-                    or DEFAULT_CHECKPOINT_EVERY,
+                    path=args.timeline if isinstance(args.timeline, str) else None,
+                    interval_s=args.timeline_interval,
+                    keyframe_every=args.keyframe_every,
                 )
             )
         if profiler is not None:
@@ -286,31 +274,10 @@ def _run_figures(args: argparse.Namespace) -> int:
                 print()
         else:
             print(REGISTRY[args.figure].main())
-    if args.trace:
-        if configured_jobs() > 1:
-            print(
-                f"trace written to per-worker shards next to {args.trace}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"trace written to {args.trace}", file=sys.stderr)
-    if args.fingerprint:
-        if configured_jobs() > 1:
-            print(
-                f"fingerprint written to per-worker shards next to "
-                f"{args.fingerprint}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"fingerprint written to {args.fingerprint}", file=sys.stderr)
-    if isinstance(args.timeline, str):
-        if configured_jobs() > 1:
-            print(
-                f"timeline written to per-worker shards next to {args.timeline}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"timeline written to {args.timeline}", file=sys.stderr)
+        written = file_artifacts()
+    where = "per-worker shards next to " if configured_jobs() > 1 else ""
+    for artifact in written:
+        print(f"{artifact.kind} written to {where}{artifact.path}", file=sys.stderr)
     if profiler is not None:
         print()
         print(profiler.render())

@@ -58,19 +58,18 @@ abandoned attempts never double-count in merged spans/timelines.
 
 from __future__ import annotations
 
-import json
+import glob
 import multiprocessing
-import multiprocessing.util
 import os
 import signal
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -80,7 +79,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, parse_knob
 from repro.experiments.metrics import AggregateMetrics, TrialFailure, TrialMetrics
 from repro.experiments.store import (
     CampaignStore,
@@ -94,8 +93,15 @@ from repro.obs import memprof as obs_memprof
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.audit import audit_extras
+from repro.obs.durable import (
+    Artifact,
+    file_artifacts,
+    replace_atomic,
+    reshard_for_worker,
+)
 from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_registries
 from repro.obs.profile import RunProfiler, _clear_active, active_profiler
+from repro.obs.spans import JsonlShards
 
 #: Per the paper: "results are averaged over 5 runs".
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -120,18 +126,13 @@ def configured_seeds(default: Sequence[int] = DEFAULT_SEEDS) -> List[int]:
     raw = os.environ.get("REPRO_SEEDS")
     if not raw:
         return list(default)
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SEEDS must be a positive integer (a seed count), "
-            f"got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ConfigurationError(
-            f"REPRO_SEEDS must be a positive integer (a seed count), "
-            f"got {raw!r}"
-        )
+    count = parse_knob(
+        "REPRO_SEEDS",
+        raw,
+        int,
+        lambda value: value >= 1,
+        "be a positive integer (a seed count)",
+    )
     return list(range(1, count + 1))
 
 
@@ -147,17 +148,9 @@ def scale_factor(default: float = 1.0) -> float:
     raw = os.environ.get("REPRO_SCALE")
     if not raw:
         return default
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SCALE must be a positive number, got {raw!r}"
-        ) from None
-    if scale <= 0:
-        raise ConfigurationError(
-            f"REPRO_SCALE must be a positive number, got {raw!r}"
-        )
-    return scale
+    return parse_knob(
+        "REPRO_SCALE", raw, float, lambda value: value > 0, "be a positive number"
+    )
 
 
 def configured_jobs(default: int = 1) -> int:
@@ -175,16 +168,13 @@ def configured_jobs(default: int = 1) -> int:
         return default
     if raw.strip().lower() == "auto":
         return os.cpu_count() or 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_JOBS must be a non-negative integer or 'auto', got {raw!r}"
-        ) from None
-    if jobs < 0:
-        raise ConfigurationError(
-            f"REPRO_JOBS must be a non-negative integer or 'auto', got {raw!r}"
-        )
+    jobs = parse_knob(
+        "REPRO_JOBS",
+        raw,
+        int,
+        lambda value: value >= 0,
+        "be a non-negative integer or 'auto'",
+    )
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
@@ -201,31 +191,19 @@ def configured_trial_timeout(default: Optional[float] = None) -> Optional[float]
     raw = os.environ.get("REPRO_TRIAL_TIMEOUT")
     if not raw:
         return default
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TRIAL_TIMEOUT must be a positive number of seconds, "
-            f"got {raw!r}"
-        ) from None
-    if timeout <= 0:
-        raise ConfigurationError(
-            f"REPRO_TRIAL_TIMEOUT must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    return timeout
+    return parse_knob(
+        "REPRO_TRIAL_TIMEOUT",
+        raw,
+        float,
+        lambda value: value > 0,
+        "be a positive number of seconds",
+    )
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_init(
-    shard_bases: Sequence[str],
-    shard_counter: Any,
-    timeline_shards: bool = False,
-    profile_trials: bool = False,
-    fingerprint_shards: bool = False,
-) -> None:
+def _worker_init(shard_counter: Any, profile_trials: bool = False) -> None:
     """Per-worker-process setup.
 
     Forked workers inherit the parent's process-wide observability state:
@@ -233,44 +211,26 @@ def _worker_init(
     the active profiler (run and kernel), memory telemetry, open registry
     collectors, and open recorder collectors.  All of it belongs to the
     parent, so drop it — workers report back through their return values
-    instead — then open this worker's own JSONL trace shards and re-point
-    any configured timeline recording at this worker's shard.
+    instead.  With file artifacts planned (``shard_counter`` is not None),
+    the worker draws one shard index and re-points every inherited
+    artifact at its own shard.
 
     ``profile_trials`` carries the parent's kernel-profiling request
     across the process boundary (start-method agnostic, unlike inherited
     globals): the worker profiles its trials and ships the stats back in
     its return value.
     """
-    for sink in obs_trace.global_sinks():
-        # Remove without closing: under fork the file object is shared
-        # with the parent, and closing here would flush its buffer twice.
-        obs_trace.remove_global_sink(sink)
     _clear_active()
     obs_kernelprof._clear_active()
     obs_kernelprof.request_profiling(profile_trials)
     obs_memprof._clear_active()
     _clear_collectors()
     obs_recorder._clear_recorder_collectors()
-    if shard_bases or timeline_shards or fingerprint_shards:
+    if shard_counter is not None:
         with shard_counter.get_lock():
             index = shard_counter.value
             shard_counter.value += 1
-        for base in shard_bases:
-            stem, ext = os.path.splitext(base)
-            sink = obs_trace.JsonlSink(f"{stem}.{index}{ext}")
-            obs_trace.install_global_sink(sink)
-            # Workers exit through os._exit (multiprocessing skips normal
-            # interpreter shutdown), so buffered tail events would be lost
-            # without an explicit finalizer.  (TimelineWriter registers its
-            # own finalizer when the recording opens its shard.)
-            multiprocessing.util.Finalize(sink, sink.close, exitpriority=10)
-        if timeline_shards:
-            obs_recorder.reshard_for_worker(index)
-        if fingerprint_shards:
-            # The inherited config's writer (if the parent already opened
-            # one) is dropped, not closed — its buffer belongs to the
-            # parent (pid-guarded, like trace sinks under fork).
-            obs_fingerprint.reshard_for_worker(index)
+        reshard_for_worker(index)
 
 
 def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
@@ -333,34 +293,21 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
 def _mark_attempt(outcome: str, label: str) -> None:
     """End one trial attempt on every open JSONL artifact of this worker.
 
-    Writes ``{"attempt": "commit"|"abort", "label": ...}`` to the
-    worker's trace shards and to the timeline/fingerprint writers *if
-    they are already open* (a marker must never force an idle lazy shard
-    into existence), then flushes — so once an attempt commits, its
-    events survive the worker being killed during a *later* trial.
-    Post-campaign sanitization keeps exactly the committed segments:
-    aborted attempts, duplicate commits of the same label, and the
-    unterminated tail a killed worker leaves are all dropped, which is
+    Writes ``{"attempt": "commit"|"abort", "label": ...}`` to each file
+    artifact's writer *if it is already open* (a marker must never force
+    an idle lazy shard into existence), then flushes — so once an attempt
+    commits, its events survive the worker being killed during a *later*
+    trial.  Post-campaign sanitization keeps exactly the committed
+    segments: aborted attempts, duplicate commits of the same label, and
+    the unterminated tail a killed worker leaves are all dropped, which is
     what stops a retried trial's abandoned first attempt from
     double-counting in merged spans and timelines.
     """
     doc = {"attempt": outcome, "label": label}
-    for sink in obs_trace.global_sinks():
-        if isinstance(sink, obs_trace.JsonlSink):
-            sink.write_doc(doc)
-            sink.flush()
-    recording = obs_recorder.configured_recording()
-    if recording is not None:
-        writer = recording.current_writer()
-        if writer is not None:
-            writer.write_doc(doc)
-            writer.flush()
-    fingerprint = obs_fingerprint.configured_fingerprint()
-    if fingerprint is not None:
-        writer = fingerprint.current_writer()
-        if writer is not None:
-            writer.write_doc(doc)
-            writer.flush()
+    for artifact in file_artifacts():
+        if artifact.writer is not None:
+            artifact.writer.write_doc(doc)
+            artifact.writer.flush()
 
 
 @contextmanager
@@ -473,74 +420,46 @@ def _pool_context() -> Any:
     return multiprocessing.get_context()
 
 
-def _plan_trace_shards(context: Any) -> List[str]:
-    """Decide how process-wide trace sinks behave under a fan-out.
+#: How each artifact's fork refusal names what jobs=1 keeps working.
+_SERIAL_ONLY = {
+    "trace": "trace",
+    "timeline": "record a timeline",
+    "fingerprint": "fingerprint",
+}
 
-    JSONL sinks shard (worker ``k`` writes ``<stem>.k<ext>``); anything
-    else cannot cross a process boundary, so the campaign must run with
-    ``jobs=1``.
+
+def _plan_shards(context: Any) -> List[Artifact]:
+    """The file artifacts workers must shard, refusing what cannot cross.
+
+    Worker ``k`` writes ``<stem>.k<ext>`` next to each artifact's base, and
+    only a forked worker inherits the configs that say so.  Trace sinks
+    other than JSONL files, and an in-memory fingerprint (its records
+    would die with the worker), cannot follow trials into workers at all.
+    An in-memory recording works under any start method: its summaries
+    travel back inside the pickled trial results.
     """
-    bases: List[str] = []
     for sink in obs_trace.global_sinks():
-        if isinstance(sink, obs_trace.JsonlSink):
-            bases.append(sink.path)
-        else:
+        if not isinstance(sink, obs_trace.JsonlSink):
             raise ConfigurationError(
                 f"trace sink {type(sink).__name__} cannot follow trials into "
                 f"worker processes; run with jobs=1 (--jobs 1) to keep "
                 f"tracing through it"
             )
-    if bases and context.get_start_method() != "fork":
-        raise ConfigurationError(
-            "per-worker trace shards need the 'fork' start method; run "
-            "with jobs=1 (--jobs 1) to trace on this platform"
-        )
-    return bases
-
-
-def _plan_timeline_shards(context: Any) -> bool:
-    """Whether workers must shard a configured timeline recording.
-
-    Memory-only recordings (no path) still need per-worker recorder
-    collection, but summaries travel back inside the pickled trial
-    results, so they work under any start method.  File-backed timelines
-    shard like trace files and need ``fork``.
-    """
-    config = obs_recorder.configured_recording()
-    if config is None:
-        return False
-    if config.path is not None and context.get_start_method() != "fork":
-        raise ConfigurationError(
-            "per-worker timeline shards need the 'fork' start method; run "
-            "with jobs=1 (--jobs 1) to record a timeline on this platform"
-        )
-    return config.path is not None
-
-
-def _plan_fingerprint_shards(context: Any) -> bool:
-    """Whether workers must shard a configured fingerprint stream.
-
-    File-backed fingerprint streams shard per worker exactly like trace
-    and timeline files (fork only); a memory-only fingerprint config
-    cannot follow trials into worker processes at all — its
-    :class:`~repro.obs.fingerprint.EventFingerprinter` records would die
-    with the worker — so it demands ``jobs=1``.
-    """
-    config = obs_fingerprint.configured_fingerprint()
-    if config is None:
-        return False
-    if config.path is None:
+    fingerprint = obs_fingerprint.configured_fingerprint()
+    if fingerprint is not None and fingerprint.path is None:
         raise ConfigurationError(
             "an in-memory fingerprint (path=None) cannot follow trials "
             "into worker processes; give it a path or run with jobs=1 "
             "(--jobs 1)"
         )
-    if context.get_start_method() != "fork":
+    artifacts = file_artifacts()
+    if artifacts and context.get_start_method() != "fork":
+        kind = artifacts[0].kind
         raise ConfigurationError(
-            "per-worker fingerprint shards need the 'fork' start method; "
-            "run with jobs=1 (--jobs 1) to fingerprint on this platform"
+            f"per-worker {kind} shards need the 'fork' start method; run "
+            f"with jobs=1 (--jobs 1) to {_SERIAL_ONLY[kind]} on this platform"
         )
-    return True
+    return artifacts
 
 
 def _failure_kind(error: BaseException) -> str:
@@ -565,24 +484,17 @@ def _sanitize_shard(path: str, committed_labels: set) -> None:
     shard with nothing to drop is left byte-untouched.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        lines = list(JsonlShards([path]).lines())
     except OSError:
         return
     kept: List[str] = []
     segment: List[str] = []
     dirty = False
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            doc = json.loads(stripped)
-        except ValueError:
-            # Truncated tail of a killed writer: part of the unterminated
-            # (dead) attempt — dropped with the rest of its segment.
-            segment.append(line)
-            continue
+    for _, line, doc in lines:
+        line += "\n"
+        # An unparseable line (doc None) is the truncated tail of a killed
+        # writer: part of the unterminated (dead) attempt, dropped with
+        # the rest of its segment.
         if isinstance(doc, dict) and "provenance" in doc:
             kept.append(line)
             continue
@@ -597,24 +509,8 @@ def _sanitize_shard(path: str, committed_labels: set) -> None:
         segment.append(line)
     if segment:
         dirty = True  # unterminated tail: the attempt died mid-write
-    if not dirty:
-        return
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
-            out.writelines(kept)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    if dirty:
+        replace_atomic(path, lambda out: out.writelines(kept))
 
 
 def _clean_artifact_shards(base: str, count: int) -> None:
@@ -628,26 +524,18 @@ def _clean_artifact_shards(base: str, count: int) -> None:
     campaign that a merged load would otherwise double-count.
     """
     stem, ext = os.path.splitext(base)
+    shards = []
+    for path in glob.glob(f"{glob.escape(stem)}.[0-9]*{glob.escape(ext)}"):
+        suffix = path[len(stem) + 1 : len(path) - len(ext)]
+        if suffix.isdigit():
+            shards.append((int(suffix), path))
     committed_labels: set = set()
-    for index in range(count):
-        path = f"{stem}.{index}{ext}"
-        if os.path.exists(path):
+    for index, path in sorted(shards):
+        if index < count:
             _sanitize_shard(path, committed_labels)
-    directory = os.path.dirname(base) or "."
-    prefix = os.path.basename(stem) + "."
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        if not (name.startswith(prefix) and name.endswith(ext)):
             continue
-        middle = name[len(prefix) : len(name) - len(ext)] if ext else name[len(prefix) :]
-        if middle.isdigit() and int(middle) >= count:
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
+        with suppress(OSError):
+            os.unlink(path)
 
 
 def _execute_parallel(
@@ -674,14 +562,8 @@ def _execute_parallel(
     (crash isolation), where blame is unambiguous.
     """
     context = _pool_context()
-    shard_bases = _plan_trace_shards(context)
-    timeline_shards = _plan_timeline_shards(context)
-    fingerprint_shards = _plan_fingerprint_shards(context)
-    shard_counter = (
-        context.Value("i", 0)
-        if (shard_bases or timeline_shards or fingerprint_shards)
-        else None
-    )
+    artifacts = _plan_shards(context)
+    shard_counter = context.Value("i", 0) if artifacts else None
     profiler = active_profiler()
     kernel = obs_kernelprof.active_kernel_profiler()
     profile_trials = obs_kernelprof.configured_profiling()
@@ -719,13 +601,7 @@ def _execute_parallel(
                 max_workers=min(jobs, len(group)),
                 mp_context=context,
                 initializer=_worker_init,
-                initargs=(
-                    shard_bases,
-                    shard_counter,
-                    timeline_shards,
-                    profile_trials,
-                    fingerprint_shards,
-                ),
+                initargs=(shard_counter, profile_trials),
             ) as pool:
                 futures = {
                     pool.submit(
@@ -775,18 +651,8 @@ def _execute_parallel(
         if saw_crash:
             isolate = True
 
-    if shard_counter is not None:
-        bases = list(shard_bases)
-        if timeline_shards:
-            timeline_base = obs_recorder.recording_shard_base()
-            if timeline_base:
-                bases.append(timeline_base)
-        if fingerprint_shards:
-            fingerprint_config = obs_fingerprint.configured_fingerprint()
-            if fingerprint_config is not None and fingerprint_config.path:
-                bases.append(fingerprint_config.path)
-        for base in bases:
-            _clean_artifact_shards(base, shard_counter.value)
+    for artifact in artifacts:
+        _clean_artifact_shards(artifact.path, shard_counter.value)
 
     return values, failures, snapshots
 
@@ -804,19 +670,11 @@ def _campaign_artifacts() -> Dict[str, Any]:
     the original campaign's artifacts are named here.
     """
     artifacts: Dict[str, Any] = {}
-    trace_paths = [
-        sink.path
-        for sink in obs_trace.global_sinks()
-        if isinstance(sink, obs_trace.JsonlSink)
-    ]
-    if trace_paths:
-        artifacts["trace"] = trace_paths
-    timeline_base = obs_recorder.recording_shard_base()
-    if timeline_base:
-        artifacts["timeline"] = timeline_base
-    fingerprint = obs_fingerprint.configured_fingerprint()
-    if fingerprint is not None and fingerprint.path:
-        artifacts["fingerprint"] = fingerprint.path
+    for artifact in file_artifacts():
+        if artifact.kind == "trace":
+            artifacts.setdefault("trace", []).append(artifact.path)
+        else:
+            artifacts[artifact.kind] = artifact.path
     return artifacts
 
 
@@ -925,6 +783,14 @@ def _run_stored_campaign(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+def _timeline_scope(timeline: Optional[Any]) -> ContextManager[Any]:
+    """The ``timeline=`` knob: record every trial, to a file given a path."""
+    if not timeline:
+        return nullcontext()
+    path = timeline if isinstance(timeline, str) else None
+    return obs_recorder.recording(path=path)
+
+
 def run_trials(
     trial: TrialFn,
     seeds: Optional[Iterable[int]] = None,
@@ -965,64 +831,53 @@ def run_trials(
     ``--metrics``), each trial's simulator runs are labelled with its seed
     so the profile reads per-trial — including trials that ran in workers.
     """
-    if timeline:
-        path = timeline if isinstance(timeline, str) else None
-        with obs_recorder.recording(path=path):
-            return run_trials(
-                trial,
-                seeds=seeds,
-                jobs=jobs,
-                timeout_s=timeout_s,
-                retries=retries,
-                store=store,
-                resume=resume,
-            )
-    if seeds is None:
-        seeds = configured_seeds()
-    seeds = list(seeds)
-    if jobs is None:
-        jobs = configured_jobs()
-    if timeout_s is None:
-        timeout_s = configured_trial_timeout()
-    campaign_store = resolve_store(store)
+    with _timeline_scope(timeline):
+        if seeds is None:
+            seeds = configured_seeds()
+        seeds = list(seeds)
+        if jobs is None:
+            jobs = configured_jobs()
+        if timeout_s is None:
+            timeout_s = configured_trial_timeout()
+        campaign_store = resolve_store(store)
 
-    if campaign_store is None:
-        if jobs == 1:
-            profiler = active_profiler()
-            results = []
-            for seed in seeds:
-                if profiler is not None:
-                    with profiler.label(f"seed {seed}"):
+        if campaign_store is None:
+            if jobs == 1:
+                profiler = active_profiler()
+                results = []
+                for seed in seeds:
+                    if profiler is not None:
+                        with profiler.label(f"seed {seed}"):
+                            results.append(_audited_call(trial, (seed,)))
+                    else:
                         results.append(_audited_call(trial, (seed,)))
-                else:
-                    results.append(_audited_call(trial, (seed,)))
-            return AggregateMetrics.from_trials(results)
+                return AggregateMetrics.from_trials(results)
+            tasks = [
+                _Task(key=index, seed=seed, label=f"seed {seed}", args=(seed,))
+                for index, seed in enumerate(seeds)
+            ]
+            values, failures, _ = _execute_parallel(
+                trial, tasks, jobs, timeout_s, retries
+            )
+            ordered = [values[key] for key in sorted(values)]
+            ordered_failures = [failures[key] for key in sorted(failures)]
+            return AggregateMetrics.from_trials(ordered, failures=ordered_failures)
+
         tasks = [
             _Task(key=index, seed=seed, label=f"seed {seed}", args=(seed,))
             for index, seed in enumerate(seeds)
         ]
-        values, failures, _ = _execute_parallel(
-            trial, tasks, jobs, timeout_s, retries
+        values, failures, hit_keys = _run_stored_campaign(
+            trial, tasks, campaign_store, resume, jobs, timeout_s, retries
         )
         ordered = [values[key] for key in sorted(values)]
         ordered_failures = [failures[key] for key in sorted(failures)]
-        return AggregateMetrics.from_trials(ordered, failures=ordered_failures)
-
-    tasks = [
-        _Task(key=index, seed=seed, label=f"seed {seed}", args=(seed,))
-        for index, seed in enumerate(seeds)
-    ]
-    values, failures, hit_keys = _run_stored_campaign(
-        trial, tasks, campaign_store, resume, jobs, timeout_s, retries
-    )
-    ordered = [values[key] for key in sorted(values)]
-    ordered_failures = [failures[key] for key in sorted(failures)]
-    return AggregateMetrics.from_trials(
-        ordered,
-        failures=ordered_failures,
-        cache_hits=len(hit_keys),
-        executed=len(tasks) - len(hit_keys),
-    )
+        return AggregateMetrics.from_trials(
+            ordered,
+            failures=ordered_failures,
+            cache_hits=len(hit_keys),
+            executed=len(tasks) - len(hit_keys),
+        )
 
 
 @dataclass(frozen=True)
@@ -1094,107 +949,94 @@ def run_sweep(
     :class:`SweepPoint` results; each point's ``cache_hits``/``executed``
     fields say how much came from the store.
     """
-    if timeline:
-        path = timeline if isinstance(timeline, str) else None
-        with obs_recorder.recording(path=path):
-            return run_sweep(
-                trial,
-                points,
-                seeds=seeds,
-                jobs=jobs,
-                timeout_s=timeout_s,
-                retries=retries,
-                label_fn=label_fn,
-                store=store,
-                resume=resume,
-            )
-    if seeds is None:
-        seeds = configured_seeds()
-    seeds = list(seeds)
-    points = list(points)
-    if jobs is None:
-        jobs = configured_jobs()
-    if timeout_s is None:
-        timeout_s = configured_trial_timeout()
-    labels = [
-        label_fn(point) if label_fn is not None else f"point {index}"
-        for index, point in enumerate(points)
-    ]
-    campaign_store = resolve_store(store)
+    with _timeline_scope(timeline):
+        if seeds is None:
+            seeds = configured_seeds()
+        seeds = list(seeds)
+        points = list(points)
+        if jobs is None:
+            jobs = configured_jobs()
+        if timeout_s is None:
+            timeout_s = configured_trial_timeout()
+        labels = [
+            label_fn(point) if label_fn is not None else f"point {index}"
+            for index, point in enumerate(points)
+        ]
+        campaign_store = resolve_store(store)
 
-    if campaign_store is None and jobs == 1:
-        profiler = active_profiler()
-        sweep = []
-        for index, point in enumerate(points):
-            results = []
-            for seed in seeds:
-                if profiler is not None:
-                    with profiler.label(f"{labels[index]} seed {seed}"):
+        if campaign_store is None and jobs == 1:
+            profiler = active_profiler()
+            sweep = []
+            for index, point in enumerate(points):
+                results = []
+                for seed in seeds:
+                    if profiler is not None:
+                        with profiler.label(f"{labels[index]} seed {seed}"):
+                            results.append(_audited_call(trial, (point, seed)))
+                    else:
                         results.append(_audited_call(trial, (point, seed)))
-                else:
-                    results.append(_audited_call(trial, (point, seed)))
+                sweep.append(
+                    SweepPoint(
+                        point=point,
+                        label=labels[index],
+                        results=tuple(results),
+                        seeds=tuple(seeds),
+                    )
+                )
+            return sweep
+
+        tasks = []
+        for point_index, point in enumerate(points):
+            for seed_index, seed in enumerate(seeds):
+                tasks.append(
+                    _Task(
+                        key=point_index * len(seeds) + seed_index,
+                        seed=seed,
+                        label=f"{labels[point_index]} seed {seed}",
+                        args=(point, seed),
+                    )
+                )
+        if campaign_store is None:
+            values, failures_by_key, _ = _execute_parallel(
+                trial, tasks, jobs, timeout_s, retries
+            )
+            hit_keys: set = set()
+        else:
+            values, failures_by_key, hit_keys = _run_stored_campaign(
+                trial, tasks, campaign_store, resume, jobs, timeout_s, retries
+            )
+
+        sweep = []
+        for point_index, point in enumerate(points):
+            point_results = []
+            point_seeds = []
+            point_failures = []
+            point_hits = 0
+            for seed_index, seed in enumerate(seeds):
+                key = point_index * len(seeds) + seed_index
+                if key in values:
+                    point_results.append(values[key])
+                    point_seeds.append(seed)
+                elif key in failures_by_key:
+                    point_failures.append(failures_by_key[key])
+                if key in hit_keys:
+                    point_hits += 1
             sweep.append(
                 SweepPoint(
                     point=point,
-                    label=labels[index],
-                    results=tuple(results),
-                    seeds=tuple(seeds),
+                    label=labels[point_index],
+                    results=tuple(point_results),
+                    seeds=tuple(point_seeds),
+                    failures=tuple(point_failures),
+                    cache_hits=point_hits if campaign_store is not None else None,
+                    executed=(
+                        len(seeds) - point_hits
+                        if campaign_store is not None
+                        else None
+                    ),
                 )
             )
         return sweep
-
-    tasks = []
-    for point_index, point in enumerate(points):
-        for seed_index, seed in enumerate(seeds):
-            tasks.append(
-                _Task(
-                    key=point_index * len(seeds) + seed_index,
-                    seed=seed,
-                    label=f"{labels[point_index]} seed {seed}",
-                    args=(point, seed),
-                )
-            )
-    if campaign_store is None:
-        values, failures_by_key, _ = _execute_parallel(
-            trial, tasks, jobs, timeout_s, retries
-        )
-        hit_keys: set = set()
-    else:
-        values, failures_by_key, hit_keys = _run_stored_campaign(
-            trial, tasks, campaign_store, resume, jobs, timeout_s, retries
-        )
-
-    sweep = []
-    for point_index, point in enumerate(points):
-        point_results = []
-        point_seeds = []
-        point_failures = []
-        point_hits = 0
-        for seed_index, seed in enumerate(seeds):
-            key = point_index * len(seeds) + seed_index
-            if key in values:
-                point_results.append(values[key])
-                point_seeds.append(seed)
-            elif key in failures_by_key:
-                point_failures.append(failures_by_key[key])
-            if key in hit_keys:
-                point_hits += 1
-        sweep.append(
-            SweepPoint(
-                point=point,
-                label=labels[point_index],
-                results=tuple(point_results),
-                seeds=tuple(point_seeds),
-                failures=tuple(point_failures),
-                cache_hits=point_hits if campaign_store is not None else None,
-                executed=(
-                    len(seeds) - point_hits
-                    if campaign_store is not None
-                    else None
-                ),
-            )
-        )
-    return sweep
 
 
 def point_mean(

@@ -30,7 +30,6 @@ from repro.obs.profile import RunProfiler, RunRecord, active_profiler
 from repro.obs.recorder import (
     FlightRecorder,
     RecordingConfig,
-    TimelineWriter,
     capture_network_state,
     configured_recording,
     flatten_state,
@@ -79,7 +78,6 @@ __all__ = [
     "TimelineError",
     "TimelineLoad",
     "TimelineRun",
-    "TimelineWriter",
     "TraceLoad",
     "Violation",
     "capture_network_state",

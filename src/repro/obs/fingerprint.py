@@ -42,15 +42,13 @@ Environment knobs (how the config crosses process boundaries):
 
 from __future__ import annotations
 
-import json
-import os
 import struct
-from contextlib import contextmanager
+from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.obs.durable import DurableJsonlWriter
+from repro.errors import ConfigurationError, parse_knob
+from repro.obs.durable import GlobalArtifact, JsonlArtifact
 
 #: Default events per checkpoint record.
 DEFAULT_CHECKPOINT_EVERY = 512
@@ -124,16 +122,9 @@ def handler_key(callback: Callable[..., Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Configuration (process-wide, mirrors RecordingConfig)
+# Configuration (process-wide, like RecordingConfig)
 # ----------------------------------------------------------------------
-class FingerprintWriter(DurableJsonlWriter):
-    """Streams fingerprint records to a JSONL file (durable like traces)."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path, finalize=True)
-
-
-class FingerprintConfig:
+class FingerprintConfig(JsonlArtifact):
     """Where and how densely to fingerprint.
 
     One config is shared by every simulator created while it is active;
@@ -166,169 +157,71 @@ class FingerprintConfig:
                     f"detail window must be 1 <= lo <= hi, got {detail!r}"
                 )
             detail = (lo, hi)
-        self.path = str(path) if path is not None else None
+        super().__init__(path)
         self.checkpoint_every = int(checkpoint_every)
         self.detail = detail
-        self._writer: Optional[FingerprintWriter] = None
         #: In-memory fingerprinters created under this config (creation
         #: order — the deterministic trial order for in-process runs).
         self.streams: List["EventFingerprinter"] = []
 
-    def writer(self) -> Optional[FingerprintWriter]:
-        """The shared (lazily opened) writer, or None (memory mode)."""
-        if self.path is None:
-            return None
-        if self._writer is None:
-            self._writer = FingerprintWriter(self.path)
-        return self._writer
 
-    def current_writer(self) -> Optional[FingerprintWriter]:
-        """The writer if one is already open; never opens one.
-
-        The parallel runner's attempt markers use this: a marker must
-        never force an otherwise-idle worker shard into existence.
-        """
-        return self._writer
-
-    def reshard(self, index: int) -> None:
-        """Re-point a forked worker at its own ``<stem>.<k><ext>`` shard."""
-        self._writer = None
-        if self.path is not None:
-            stem, ext = os.path.splitext(self.path)
-            self.path = f"{stem}.{index}{ext}"
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+def _index_pair(raw: str) -> Tuple[int, int]:
+    lo_raw, _, hi_raw = raw.partition(":")
+    return int(lo_raw), int(hi_raw)
 
 
-_GLOBAL_FINGERPRINT: List[FingerprintConfig] = []
-_ENV_FINGERPRINT: Optional[Tuple[Tuple[str, ...], FingerprintConfig]] = None
-
-
-def install_global_fingerprint(config: FingerprintConfig) -> FingerprintConfig:
-    """Fingerprint every simulator run from now on."""
-    _GLOBAL_FINGERPRINT.append(config)
-    return config
-
-
-def remove_global_fingerprint(config: FingerprintConfig) -> None:
-    """Stop fingerprinting new simulators through ``config``."""
-    try:
-        _GLOBAL_FINGERPRINT.remove(config)
-    except ValueError:
-        pass
-
-
-def _parse_every(raw: Optional[str]) -> int:
-    if not raw:
-        return DEFAULT_CHECKPOINT_EVERY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_EVERY must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_EVERY must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def _parse_detail(raw: Optional[str]) -> Optional[Tuple[int, int]]:
-    if not raw:
-        return None
-    try:
-        lo_raw, _, hi_raw = raw.partition(":")
-        lo, hi = int(lo_raw), int(hi_raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_DETAIL must be '<lo>:<hi>' event indices, "
-            f"got {raw!r}"
-        ) from None
-    if lo < 1 or hi < lo:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_DETAIL must satisfy 1 <= lo <= hi, got {raw!r}"
-        )
-    return (lo, hi)
-
-
-def _env_fingerprint() -> Optional[FingerprintConfig]:
-    global _ENV_FINGERPRINT
-    path = os.environ.get("REPRO_FINGERPRINT")
-    if not path:
-        return None
-    key = (
-        path,
-        os.environ.get("REPRO_FINGERPRINT_EVERY", ""),
-        os.environ.get("REPRO_FINGERPRINT_DETAIL", ""),
-    )
-    if _ENV_FINGERPRINT is not None and _ENV_FINGERPRINT[0] == key:
-        return _ENV_FINGERPRINT[1]
-    config = FingerprintConfig(
+def _fingerprint_from_env(path: str, every: str, detail: str) -> FingerprintConfig:
+    return FingerprintConfig(
         path=path,
-        checkpoint_every=_parse_every(key[1]),
-        detail=_parse_detail(key[2]),
+        checkpoint_every=parse_knob(
+            "REPRO_FINGERPRINT_EVERY",
+            every,
+            int,
+            lambda value: value >= 1,
+            "be a positive integer",
+        )
+        if every
+        else DEFAULT_CHECKPOINT_EVERY,
+        detail=parse_knob(
+            "REPRO_FINGERPRINT_DETAIL",
+            detail,
+            _index_pair,
+            lambda pair: 1 <= pair[0] <= pair[1],
+            "be '<lo>:<hi>' event indices",
+            bounds="satisfy 1 <= lo <= hi",
+        )
+        if detail
+        else None,
     )
-    _ENV_FINGERPRINT = (key, config)
-    return config
 
 
-def configured_fingerprint() -> Optional[FingerprintConfig]:
-    """The fingerprint in effect: installed config, else the env knobs."""
-    if _GLOBAL_FINGERPRINT:
-        return _GLOBAL_FINGERPRINT[-1]
-    return _env_fingerprint()
+#: Installed fingerprints, else ``REPRO_FINGERPRINT`` (+ every / detail).
+FINGERPRINTS: GlobalArtifact[FingerprintConfig] = GlobalArtifact(
+    "fingerprint",
+    "REPRO_FINGERPRINT",
+    ("REPRO_FINGERPRINT_EVERY", "REPRO_FINGERPRINT_DETAIL"),
+    _fingerprint_from_env,
+)
 
 
-@contextmanager
+#: Fingerprint every simulator run from now on / stop fingerprinting
+#: through a config / the fingerprint in effect (installed, else the env).
+install_global_fingerprint = FINGERPRINTS.install
+remove_global_fingerprint = FINGERPRINTS.remove
+configured_fingerprint = FINGERPRINTS.configured
+
+
 def fingerprinting(
     path: Optional[str] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     detail: Optional[Tuple[int, int]] = None,
-) -> Iterator[FingerprintConfig]:
+) -> ContextManager[FingerprintConfig]:
     """Scope a process-wide fingerprint (CLI / diverge engine)."""
-    config = install_global_fingerprint(
+    return FINGERPRINTS.scoped(
         FingerprintConfig(
             path=path, checkpoint_every=checkpoint_every, detail=detail
         )
     )
-    try:
-        yield config
-    finally:
-        remove_global_fingerprint(config)
-        config.close()
-
-
-def reshard_for_worker(index: int) -> None:
-    """Point this worker process's fingerprint at its own shard.
-
-    Called from the parallel runner's worker initializer (after fork);
-    also updates ``REPRO_FINGERPRINT`` so env-activated fingerprinting
-    resolves to the shard path for the rest of the worker's life.
-    """
-    global _ENV_FINGERPRINT
-    config = configured_fingerprint()
-    if config is None or config.path is None:
-        return
-    config.reshard(index)
-    if os.environ.get("REPRO_FINGERPRINT"):
-        os.environ["REPRO_FINGERPRINT"] = config.path
-        key = (
-            config.path,
-            os.environ.get("REPRO_FINGERPRINT_EVERY", ""),
-            os.environ.get("REPRO_FINGERPRINT_DETAIL", ""),
-        )
-        _ENV_FINGERPRINT = (key, config)
-
-
-def _clear_fingerprint() -> None:
-    """Drop configs inherited by a forked worker process (tests only)."""
-    global _ENV_FINGERPRINT
-    _GLOBAL_FINGERPRINT.clear()
-    _ENV_FINGERPRINT = None
 
 
 # ----------------------------------------------------------------------
@@ -593,15 +486,13 @@ class FingerprintRun:
         return int(self.checkpoints[-1]["i"]) if self.checkpoints else 0
 
 
+@dataclass
 class FingerprintLoad:
     """Every run found across the resolved fingerprint shard files."""
 
-    def __init__(
-        self, runs: List[FingerprintRun], paths: List[str], skipped: int
-    ) -> None:
-        self.runs = runs
-        self.paths = paths
-        self.skipped_lines = skipped
+    runs: List[FingerprintRun]
+    paths: List[str]
+    skipped_lines: int = 0
 
     def combined_digest(self) -> str:
         """Order-independent digest over every run's final chained digest.
@@ -631,49 +522,32 @@ def load_fingerprints(path: str) -> FingerprintLoad:
     are skipped; records are ordered by event index within each
     ``(shard, run)`` scope.
     """
-    from repro.obs.spans import resolve_trace_paths
+    from repro.obs.spans import JsonlShards, resolve_trace_paths
 
-    paths = resolve_trace_paths(path)
+    shards = JsonlShards(resolve_trace_paths(path))
     runs: Dict[Tuple[str, int], FingerprintRun] = {}
     order: List[Tuple[str, int]] = []
-    skipped = 0
-    for file_path in paths:
-        shard = os.path.basename(file_path)
-        with open(file_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(record, dict):
-                    skipped += 1
-                    continue
-                if "provenance" in record or "attempt" in record:
-                    # Provenance headers and the parallel runner's attempt
-                    # commit/abort markers are bookkeeping, not records.
-                    continue
-                kind = record.get("fp")
-                if kind not in ("meta", "ckpt", "event"):
-                    skipped += 1
-                    continue
-                scope = (shard, int(record.get("run", 0)))
-                run = runs.get(scope)
-                if run is None:
-                    run = runs[scope] = FingerprintRun(scope)
-                    order.append(scope)
-                if kind == "meta":
-                    run.meta = record
-                elif kind == "ckpt":
-                    run.checkpoints.append(record)
-                else:
-                    run.events.append(record)
+    for shard, record in shards:
+        kind = record.get("fp")
+        if kind not in ("meta", "ckpt", "event"):
+            shards.skipped_lines += 1
+            continue
+        scope = (shard, int(record.get("run", 0)))
+        run = runs.get(scope)
+        if run is None:
+            run = runs[scope] = FingerprintRun(scope)
+            order.append(scope)
+        if kind == "meta":
+            run.meta = record
+        elif kind == "ckpt":
+            run.checkpoints.append(record)
+        else:
+            run.events.append(record)
     for run in runs.values():
         run.checkpoints.sort(key=lambda record: int(record.get("i", 0)))
         run.events.sort(key=lambda record: int(record.get("i", 0)))
     return FingerprintLoad(
-        runs=[runs[scope] for scope in order], paths=paths, skipped=skipped
+        runs=[runs[scope] for scope in order],
+        paths=shards.paths,
+        skipped_lines=shards.skipped_lines,
     )

@@ -38,12 +38,11 @@ knobs) and every scenario built afterwards attaches a recorder.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.obs.durable import DurableJsonlWriter
+from repro.errors import ConfigurationError, parse_knob
+from repro.obs.durable import DurableJsonlWriter, GlobalArtifact, JsonlArtifact
 
 #: Path separator inside flattened state keys (ASCII unit separator: it
 #: cannot collide with node ids, query ids, or hex item keys).
@@ -92,28 +91,9 @@ def unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Timeline writer
-# ----------------------------------------------------------------------
-class TimelineWriter(DurableJsonlWriter):
-    """Streams timeline records to a JSONL file, one object per line.
-
-    All durability rules (flush+fsync on close, ``atexit`` hook, the
-    ``multiprocessing.util.Finalize`` for worker exits, pid-guarded close
-    under ``fork``) live in
-    :class:`~repro.obs.durable.DurableJsonlWriter`.
-    """
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path, finalize=True)
-
-    def write(self, doc: Dict[str, Any]) -> None:
-        self.write_doc(doc)
-
-
-# ----------------------------------------------------------------------
 # Process-wide recording configuration
 # ----------------------------------------------------------------------
-class RecordingConfig:
+class RecordingConfig(JsonlArtifact):
     """Where and how densely to record.
 
     One config is shared by every scenario built while it is active; all
@@ -138,175 +118,62 @@ class RecordingConfig:
             raise ConfigurationError(
                 f"keyframe_every must be >= 1, got {keyframe_every!r}"
             )
-        self.path = str(path) if path is not None else None
+        super().__init__(path)
         self.interval_s = float(interval_s)
         self.keyframe_every = int(keyframe_every)
-        self._writer: Optional[TimelineWriter] = None
-
-    def writer(self) -> Optional[TimelineWriter]:
-        """The shared (lazily opened) timeline writer, or None (memory)."""
-        if self.path is None:
-            return None
-        if self._writer is None:
-            self._writer = TimelineWriter(self.path)
-        return self._writer
-
-    def current_writer(self) -> Optional[TimelineWriter]:
-        """The writer if one is already open; never opens one.
-
-        The parallel runner's attempt markers use this: a marker must
-        never force an otherwise-idle worker shard into existence.
-        """
-        return self._writer
-
-    def reshard(self, index: int) -> None:
-        """Re-point a forked worker at its own ``<stem>.<k><ext>`` shard.
-
-        The parent's writer reference (if one was already open) is dropped
-        without closing — under fork its buffer is shared with the parent.
-        """
-        self._writer = None
-        if self.path is not None:
-            stem, ext = os.path.splitext(self.path)
-            self.path = f"{stem}.{index}{ext}"
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
 
 
-_GLOBAL_RECORDING: List[RecordingConfig] = []
-_ENV_RECORDING: Optional[Tuple[Tuple[str, ...], RecordingConfig]] = None
-
-
-def install_global_recording(config: RecordingConfig) -> RecordingConfig:
-    """Record every scenario built from now on."""
-    _GLOBAL_RECORDING.append(config)
-    return config
-
-
-def remove_global_recording(config: RecordingConfig) -> None:
-    """Stop recording new scenarios through ``config``."""
-    try:
-        _GLOBAL_RECORDING.remove(config)
-    except ValueError:
-        pass
-
-
-def active_recording() -> Optional[RecordingConfig]:
-    """The explicitly installed recording config, if any."""
-    return _GLOBAL_RECORDING[-1] if _GLOBAL_RECORDING else None
-
-
-def _parse_interval(raw: Optional[str]) -> float:
-    if not raw:
-        return DEFAULT_INTERVAL_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_INTERVAL must be a positive number of sim "
-            f"seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_INTERVAL must be a positive number of sim "
-            f"seconds, got {raw!r}"
-        )
-    return value
-
-
-def _parse_keyframe(raw: Optional[str]) -> int:
-    if not raw:
-        return DEFAULT_KEYFRAME_EVERY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_KEYFRAME must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_KEYFRAME must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def _env_recording() -> Optional[RecordingConfig]:
-    global _ENV_RECORDING
-    path = os.environ.get("REPRO_TIMELINE")
-    if not path:
-        return None
-    key = (
-        path,
-        os.environ.get("REPRO_TIMELINE_INTERVAL", ""),
-        os.environ.get("REPRO_TIMELINE_KEYFRAME", ""),
-    )
-    if _ENV_RECORDING is not None and _ENV_RECORDING[0] == key:
-        return _ENV_RECORDING[1]
-    config = RecordingConfig(
+def _recording_from_env(path: str, interval: str, keyframe: str) -> RecordingConfig:
+    return RecordingConfig(
         path=path,
-        interval_s=_parse_interval(key[1]),
-        keyframe_every=_parse_keyframe(key[2]),
+        interval_s=parse_knob(
+            "REPRO_TIMELINE_INTERVAL",
+            interval,
+            float,
+            lambda value: value > 0,
+            "be a positive number of sim seconds",
+        )
+        if interval
+        else DEFAULT_INTERVAL_S,
+        keyframe_every=parse_knob(
+            "REPRO_TIMELINE_KEYFRAME",
+            keyframe,
+            int,
+            lambda value: value >= 1,
+            "be a positive integer",
+        )
+        if keyframe
+        else DEFAULT_KEYFRAME_EVERY,
     )
-    _ENV_RECORDING = (key, config)
-    return config
 
 
-def configured_recording() -> Optional[RecordingConfig]:
-    """The recording in effect: installed config, else ``REPRO_TIMELINE``."""
-    config = active_recording()
-    if config is not None:
-        return config
-    return _env_recording()
+#: Installed recordings, else ``REPRO_TIMELINE`` (+ interval / keyframe).
+RECORDINGS: GlobalArtifact[RecordingConfig] = GlobalArtifact(
+    "timeline",
+    "REPRO_TIMELINE",
+    ("REPRO_TIMELINE_INTERVAL", "REPRO_TIMELINE_KEYFRAME"),
+    _recording_from_env,
+)
 
 
-@contextmanager
+#: Record every scenario built from now on / stop recording through a
+#: config / the recording in effect (installed config, else the env).
+install_global_recording = RECORDINGS.install
+remove_global_recording = RECORDINGS.remove
+configured_recording = RECORDINGS.configured
+
+
 def recording(
     path: Optional[str] = None,
     interval_s: float = DEFAULT_INTERVAL_S,
     keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
-) -> Iterator[RecordingConfig]:
+) -> ContextManager[RecordingConfig]:
     """Scope a process-wide recording (used by the CLI and ``timeline=``)."""
-    config = install_global_recording(
+    return RECORDINGS.scoped(
         RecordingConfig(
             path=path, interval_s=interval_s, keyframe_every=keyframe_every
         )
     )
-    try:
-        yield config
-    finally:
-        remove_global_recording(config)
-        config.close()
-
-
-def reshard_for_worker(index: int) -> None:
-    """Point this worker process's recording at its own timeline shard.
-
-    Called from the parallel runner's worker initializer (after fork);
-    also updates ``REPRO_TIMELINE`` so env-activated recording resolves to
-    the shard path for the rest of the worker's life.
-    """
-    global _ENV_RECORDING
-    config = configured_recording()
-    if config is None or config.path is None:
-        return
-    config.reshard(index)
-    if os.environ.get("REPRO_TIMELINE"):
-        os.environ["REPRO_TIMELINE"] = config.path
-        key = (
-            config.path,
-            os.environ.get("REPRO_TIMELINE_INTERVAL", ""),
-            os.environ.get("REPRO_TIMELINE_KEYFRAME", ""),
-        )
-        _ENV_RECORDING = (key, config)
-
-
-def recording_shard_base() -> Optional[str]:
-    """The timeline path workers would shard, or None (parent-side check)."""
-    config = configured_recording()
-    return config.path if config is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +246,7 @@ class FlightRecorder:
         topology / medium / devices: Live references into the scenario —
             the *devices dict itself* is shared with any mobility trace
             player, so joins and leaves show up in later samples.
-        writer: Shared :class:`TimelineWriter`, or None to keep records
+        writer: The recording's shared writer, or None to keep records
             in memory (:attr:`records`).
     """
 
@@ -391,7 +258,7 @@ class FlightRecorder:
         devices: Dict[Any, Any],
         interval_s: float = DEFAULT_INTERVAL_S,
         keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
-        writer: Optional[TimelineWriter] = None,
+        writer: Optional[DurableJsonlWriter] = None,
     ) -> None:
         if interval_s <= 0:
             raise ConfigurationError(
@@ -518,7 +385,7 @@ class FlightRecorder:
 
     def _write(self, doc: Dict[str, Any]) -> None:
         if self._writer is not None:
-            self._writer.write(doc)
+            self._writer.write_doc(doc)
         else:
             self.records.append(doc)
 

@@ -32,7 +32,7 @@ import glob as _glob
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 Event = Dict[str, object]
 
@@ -105,6 +105,61 @@ def _shard_sort_key(path: str) -> Tuple[int, str]:
     return (int(suffix), path) if suffix.isdigit() else (1 << 30, path)
 
 
+class JsonlShards:
+    """Reads JSONL shard files: the one line loop every loader shares.
+
+    Iterating yields ``(shard basename, document)`` per JSON object line.
+    Provenance headers and attempt commit/abort markers are bookkeeping
+    and pass silently; unparseable lines (a killed worker's truncated
+    tail) and non-objects count in ``skipped_lines``, which loaders also
+    bump for documents they reject.  With ``dedupe``, a line repeating an
+    earlier document line of the same file (a replayed trial) is dropped
+    and counted in ``duplicates_dropped``.
+    """
+
+    def __init__(self, paths: Sequence[str], dedupe: bool = False) -> None:
+        self.paths = list(paths)
+        self.dedupe = dedupe
+        self.skipped_lines = 0
+        self.duplicates_dropped = 0
+
+    def lines(self) -> Iterator[Tuple[str, str, object]]:
+        """``(file path, line, parsed)`` for every non-blank line, unfiltered.
+
+        ``parsed`` is None for a line that is not valid JSON.
+        """
+        for file_path in self.paths:
+            with open(file_path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        parsed = json.loads(line)
+                    except ValueError:
+                        parsed = None
+                    yield file_path, line, parsed
+
+    def __iter__(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        seen: set = set()
+        current = shard = ""
+        for file_path, line, doc in self.lines():
+            if file_path != current:
+                current, shard = file_path, os.path.basename(file_path)
+                seen.clear()
+            if line in seen:
+                self.duplicates_dropped += 1
+                continue
+            if not isinstance(doc, dict):
+                self.skipped_lines += 1
+                continue
+            if "provenance" in doc or "attempt" in doc:
+                continue
+            if self.dedupe:
+                seen.add(line)
+            yield shard, doc
+
+
 @dataclass
 class TraceLoad:
     """A merged, shard-tagged event stream plus loader diagnostics."""
@@ -124,47 +179,17 @@ def load_trace(path: str) -> TraceLoad:
     shard's original write order).  Unparseable lines are skipped and
     counted; exact duplicate lines within one shard are dropped.
     """
-    paths = resolve_trace_paths(path)
+    shards = JsonlShards(resolve_trace_paths(path), dedupe=True)
     events: List[Event] = []
-    skipped = 0
-    duplicates = 0
-    for file_path in paths:
-        shard = os.path.basename(file_path)
-        seen_lines: set = set()
-        with open(file_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if line in seen_lines:
-                    duplicates += 1
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(event, dict):
-                    skipped += 1
-                    continue
-                if "provenance" in event:
-                    # The file-header provenance record (version,
-                    # fingerprint config) — expected, not a skipped line.
-                    continue
-                if "attempt" in event:
-                    # Attempt commit/abort marker from the parallel runner
-                    # (normally stripped by post-campaign sanitization, but
-                    # a killed parent can leave them) — not an event.
-                    continue
-                seen_lines.add(line)
-                event["shard"] = shard
-                events.append(event)
+    for shard, event in shards:
+        event["shard"] = shard
+        events.append(event)
     events.sort(key=lambda e: float(e.get("t", 0.0)))
     return TraceLoad(
         events=events,
-        paths=paths,
-        skipped_lines=skipped,
-        duplicates_dropped=duplicates,
+        paths=shards.paths,
+        skipped_lines=shards.skipped_lines,
+        duplicates_dropped=shards.duplicates_dropped,
     )
 
 

@@ -65,7 +65,6 @@ over them.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter as TallyCounter
 from collections import deque
 from contextlib import contextmanager
@@ -73,6 +72,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.obs.durable import DurableJsonlWriter
+from repro.obs.spans import JsonlShards
 
 _run_ids = itertools.count(1)
 
@@ -152,39 +152,23 @@ class JsonlSink(DurableJsonlWriter, TraceSink):
     """Streams events to a file, one JSON object per line.
 
     All durability rules (flush+fsync on close, ``atexit`` hook,
-    pid-guarded close under ``fork``) live in
-    :class:`~repro.obs.durable.DurableJsonlWriter`; the parallel runner
-    additionally registers a ``multiprocessing.util.Finalize`` for the
-    per-worker shards it opens.  Usable as a context manager.
+    pid-guarded close under ``fork``, the optional worker-exit
+    ``finalize``) live in :class:`~repro.obs.durable.DurableJsonlWriter`.
+    Usable as a context manager.
     """
-
-    def __init__(self, path: str) -> None:
-        DurableJsonlWriter.__init__(self, path)
 
     def handle(self, event: TraceEvent) -> None:
         self.write_doc(event.to_json_dict())
 
 
 def read_jsonl(path: str) -> List[Dict[str, object]]:
-    """Load a trace file back into a list of flat event dicts.
+    """Load one trace file back into a list of flat event dicts.
 
-    The file-header provenance record every
-    :class:`~repro.obs.durable.DurableJsonlWriter` leads with is not an
-    event and is skipped.
+    Read through :class:`~repro.obs.spans.JsonlShards`: provenance headers
+    and attempt markers are bookkeeping, not events, and unparseable
+    lines are skipped.
     """
-    events: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if isinstance(doc, dict) and ("provenance" in doc or "attempt" in doc):
-                # Provenance headers and the parallel runner's attempt
-                # commit/abort markers are bookkeeping, not events.
-                continue
-            events.append(doc)
-    return events
+    return [event for _, event in JsonlShards([path])]
 
 
 class TraceBus:

@@ -198,6 +198,23 @@ def test_timeline_recording_removed_after_run(tmp_path, scenario_fig4):
     assert configured_recording() is None
 
 
+def test_every_artifact_of_a_run_carries_the_same_header(
+    tmp_path, capsys, scenario_fig4
+):
+    paths = [tmp_path / name for name in ("t.jsonl", "tl.jsonl", "fp.jsonl")]
+    assert main(
+        ["fig4", "--trace", str(paths[0]), "--timeline", str(paths[1]),
+         "--fingerprint", str(paths[2])]
+    ) == 0
+    err = capsys.readouterr().err
+    headers = []
+    for path in paths:
+        assert f"written to {path}" in err
+        headers.append(json.loads(path.read_text().splitlines()[0]))
+    assert headers[0] == headers[1] == headers[2]
+    assert headers[0]["fingerprint"] == {"checkpoint_every": 512, "detail": None}
+
+
 def _record_small_timeline(tmp_path):
     from repro.experiments.figures.common import (
         experiment_device_config,

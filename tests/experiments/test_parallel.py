@@ -7,6 +7,7 @@ makes the bit-identity assertions meaningful.
 
 import os
 import time
+from contextlib import ExitStack
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.metrics import TrialMetrics
 from repro.experiments.runner import run_sweep, run_trials
 from repro.obs import trace as obs_trace
+from repro.obs.durable import file_artifacts
 
 
 def _ok_trial(seed):
@@ -162,10 +164,11 @@ def _traced_dies_once_on_seed_2(seed):
         if not os.path.exists(flag):
             with open(flag, "w"):
                 pass
-            for sink in obs_trace.global_sinks():
-                # Land the partial event on disk before dying, like a
+            for artifact in file_artifacts():
+                # Land the partial records on disk before dying, like a
                 # buffer flush mid-trial would.
-                sink.flush()
+                if artifact.writer is not None:
+                    artifact.writer.flush()
             os._exit(23)
     return _ok_trial(seed)
 
@@ -192,6 +195,64 @@ def test_crashed_attempt_shard_events_are_dropped(tmp_path, monkeypatch):
     # Without sanitization this reads [1, 2, 2, 3]: the dead first
     # attempt's event plus the retry's.
     assert seeds == [1, 2, 3]
+
+
+def _recorded_dies_once_on_seed_2(seed):
+    """A recorded, fingerprinted scenario, then the die-once trace trial."""
+    metrics = _recorded_trial(seed)
+    _traced_dies_once_on_seed_2(seed)
+    return metrics
+
+
+def _three_artifacts(tmp_path, stem):
+    from repro.obs.fingerprint import fingerprinting
+    from repro.obs.recorder import recording
+
+    paths = [str(tmp_path / f"{stem}{suffix}.jsonl") for suffix in ("", "_tl", "_fp")]
+    stack = ExitStack()
+    stack.enter_context(fingerprinting(path=paths[2]))
+    stack.enter_context(obs_trace.global_sink(obs_trace.JsonlSink(paths[0])))
+    stack.enter_context(recording(path=paths[1]))
+    return stack, paths
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="artifact shards need fork",
+)
+def test_crashed_attempt_is_dropped_from_every_artifact(tmp_path, monkeypatch):
+    """The die-once campaign with trace, timeline and fingerprint files on:
+    the killed attempt's records leave none of the three."""
+    from repro.obs.fingerprint import load_fingerprints
+    from repro.obs.spans import load_trace
+    from repro.obs.timeline import load_timeline
+
+    monkeypatch.setenv(
+        "REPRO_TEST_DIE_ONCE_FLAG", str(tmp_path / "died-once")
+    )
+    stack, (trace, timeline, fingerprint) = _three_artifacts(tmp_path, "par")
+    with stack:
+        agg = run_trials(_recorded_dies_once_on_seed_2, seeds=[1, 2, 3], jobs=2)
+    assert agg.trials == 3 and not agg.failures  # the retry succeeded
+    assert (tmp_path / "died-once").exists()  # seed 2 did die once
+
+    events = load_trace(trace).events
+    seeds = sorted(e["seed"] for e in events if e["kind"] == "trial.ran")
+    assert seeds == [1, 2, 3]
+    assert len(load_timeline(timeline).runs) == 3  # one run per trial
+
+    stack, (_, _, serial_fingerprint) = _three_artifacts(tmp_path, "ser")
+    with stack:
+        run_trials(_recorded_dies_once_on_seed_2, seeds=[1, 2, 3], jobs=1)
+    merged = load_fingerprints(fingerprint)
+    assert len(merged.runs) == 3
+    assert (
+        merged.combined_digest()
+        == load_fingerprints(serial_fingerprint).combined_digest()
+    )
+    for name in os.listdir(tmp_path):
+        if name.startswith("par"):
+            assert '"attempt"' not in (tmp_path / name).read_text(), name
 
 
 def test_run_sweep_parallel_matches_serial():
@@ -313,7 +374,7 @@ def test_timeline_knob_memory_works_parallel_without_files():
 
 
 def test_plan_timeline_shards_requires_fork_for_files(tmp_path):
-    from repro.experiments.runner import _plan_timeline_shards
+    from repro.experiments.runner import _plan_shards
     from repro.obs import recorder as obs_recorder
 
     class _SpawnContext:
@@ -321,11 +382,11 @@ def test_plan_timeline_shards_requires_fork_for_files(tmp_path):
         def get_start_method():
             return "spawn"
 
-    assert _plan_timeline_shards(_SpawnContext()) is False  # no recording
+    assert _plan_shards(_SpawnContext()) == []  # no recording
     with obs_recorder.recording(path=str(tmp_path / "tl.jsonl")):
         with pytest.raises(ConfigurationError) as excinfo:
-            _plan_timeline_shards(_SpawnContext())
+            _plan_shards(_SpawnContext())
         assert "jobs=1" in str(excinfo.value)
     with obs_recorder.recording(path=None):
         # Memory-only recordings survive any start method.
-        assert _plan_timeline_shards(_SpawnContext()) is False
+        assert _plan_shards(_SpawnContext()) == []

@@ -109,7 +109,7 @@ def test_fingerprinting_context_scopes_config():
 
 
 def test_env_fingerprint_parses_and_caches(monkeypatch, tmp_path):
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
+    monkeypatch.setattr(fp_mod.FINGERPRINTS, "_env", None)
     monkeypatch.setenv("REPRO_FINGERPRINT", str(tmp_path / "fp.jsonl"))
     monkeypatch.setenv("REPRO_FINGERPRINT_EVERY", "64")
     monkeypatch.setenv("REPRO_FINGERPRINT_DETAIL", "10:20")
@@ -130,7 +130,7 @@ def test_env_fingerprint_parses_and_caches(monkeypatch, tmp_path):
     ],
 )
 def test_env_fingerprint_rejects_bad_knobs(monkeypatch, tmp_path, var, value):
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
+    monkeypatch.setattr(fp_mod.FINGERPRINTS, "_env", None)
     monkeypatch.setenv("REPRO_FINGERPRINT", str(tmp_path / "fp.jsonl"))
     monkeypatch.setenv(var, value)
     with pytest.raises(ConfigurationError):
@@ -274,12 +274,12 @@ def test_parallel_shards_reconstruct_serial_combined_digest(
     assert len(serial.runs) == 4
 
     parallel_path = tmp_path / "parallel.jsonl"
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
+    monkeypatch.setattr(fp_mod.FINGERPRINTS, "_env", None)
     monkeypatch.setenv("REPRO_FINGERPRINT", str(parallel_path))
     monkeypatch.setenv("REPRO_FINGERPRINT_EVERY", "16")
     run_trials(_fp_trial, seeds=[1, 2, 3, 4], jobs=2)
     monkeypatch.delenv("REPRO_FINGERPRINT")
-    fp_mod._clear_fingerprint()
+    fp_mod.FINGERPRINTS.clear()
 
     merged = load_fingerprints(str(parallel_path))
     assert len(merged.paths) >= 2  # per-worker shards
@@ -304,4 +304,4 @@ def test_memory_config_cannot_cross_process_boundary(monkeypatch):
     with fingerprinting(path=None):
         context = multiprocessing.get_context("fork")
         with pytest.raises(ConfigurationError):
-            runner_mod._plan_fingerprint_shards(context)
+            runner_mod._plan_shards(context)

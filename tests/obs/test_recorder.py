@@ -10,7 +10,6 @@ unrecorded run's outcome on the same seed.
 """
 
 import json
-import os
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.obs.recorder import (
     SEP,
     FlightRecorder,
     RecordingConfig,
-    TimelineWriter,
     capture_network_state,
     configured_recording,
     flatten_state,
@@ -78,7 +76,7 @@ def test_recording_context_scopes_config():
 
 
 def test_env_recording_parses_knobs(monkeypatch, tmp_path):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
+    monkeypatch.setattr(rec_mod.RECORDINGS, "_env", None)
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "tl.jsonl"))
     monkeypatch.setenv("REPRO_TIMELINE_INTERVAL", "0.25")
     monkeypatch.setenv("REPRO_TIMELINE_KEYFRAME", "5")
@@ -101,7 +99,7 @@ def test_env_recording_parses_knobs(monkeypatch, tmp_path):
     ],
 )
 def test_env_recording_rejects_bad_knobs(monkeypatch, tmp_path, var, value):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
+    monkeypatch.setattr(rec_mod.RECORDINGS, "_env", None)
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "tl.jsonl"))
     monkeypatch.setenv(var, value)
     with pytest.raises(ConfigurationError):
@@ -109,7 +107,7 @@ def test_env_recording_rejects_bad_knobs(monkeypatch, tmp_path, var, value):
 
 
 def test_installed_recording_wins_over_env(monkeypatch, tmp_path):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
+    monkeypatch.setattr(rec_mod.RECORDINGS, "_env", None)
     monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "env.jsonl"))
     with recording(path=None) as config:
         assert configured_recording() is config
@@ -119,42 +117,6 @@ def test_reshard_renames_path(tmp_path):
     config = RecordingConfig(path=str(tmp_path / "tl.jsonl"))
     config.reshard(3)
     assert config.path == str(tmp_path / "tl.3.jsonl")
-
-
-# ----------------------------------------------------------------------
-# TimelineWriter durability
-# ----------------------------------------------------------------------
-def test_writer_close_flushes_and_is_idempotent(tmp_path):
-    path = tmp_path / "tl.jsonl"
-    writer = TimelineWriter(str(path))
-    writer.write({"rec": "meta", "run": 1})
-    writer.close()
-    writer.close()  # safe to call twice
-    header, record = path.read_text().splitlines()
-    assert "provenance" in json.loads(header)
-    assert json.loads(record) == {"rec": "meta", "run": 1}
-    writer.write({"rec": "key"})  # post-close writes are dropped, not errors
-    assert path.read_text().count("\n") == 2  # provenance header + record
-
-
-def test_writer_context_manager(tmp_path):
-    path = tmp_path / "tl.jsonl"
-    with TimelineWriter(str(path)) as writer:
-        writer.write({"rec": "meta"})
-    lines = path.read_text().splitlines()
-    assert "provenance" in json.loads(lines[0])
-    assert lines[1].startswith('{"rec":"meta"}')
-
-
-def test_writer_close_in_foreign_pid_keeps_file(tmp_path):
-    # A writer inherited across fork must never flush the parent's buffer:
-    # close() in a "different" process is a no-op that keeps the handle.
-    writer = TimelineWriter(str(tmp_path / "tl.jsonl"))
-    writer._pid = os.getpid() + 1
-    writer.close()
-    assert writer._file is not None
-    writer._pid = os.getpid()
-    writer.close()
 
 
 # ----------------------------------------------------------------------
